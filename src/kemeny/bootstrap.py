@@ -105,10 +105,10 @@ def _validate_columns(config: HarnessConfig, x: np.ndarray, y: np.ndarray) -> No
             f"({config.resample_size} != {x.size})"
         )
     needs_binary = set(config.methods) & _BINARY_GROUP_METHODS
-    if needs_binary and np.unique(x).size != 2:
+    if needs_binary and (levels := np.unique(x).size) != 2:
         raise ConfigError(
             f"methods {sorted(needs_binary)} need a binary first column, "
-            f"got {np.unique(x).size} levels"
+            f"got {levels} levels"
         )
 
 

@@ -9,8 +9,12 @@ discordant / tied pair counts, so all distances are computed in exact
 integer arithmetic and only scaled to floats at the boundary.
 
 Two pair-counting routines are provided: an O(n^2) sign-matrix reference
-(`method="quadratic"`) and an O(n log n) merge-count (`method="merge"`).
-The quadratic form is the oracle; the merge form is the default for large n.
+(`method="quadratic"`), which is the oracle, and the default for large n
+(`method="merge"`): dense-rank both columns, collapse the rows into their m
+distinct (x, y) cells weighted by multiplicity, and count discordant pairs
+as weighted inversions of the cells' ranks, one stable-sort pass per bit
+(after Knight 1966, JASA 61:436).  It costs O(n log n) for the ranking plus
+O(m log k) for the count, k the smaller number of distinct values.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from .errors import DegenerateInputError, LengthMismatchError, ValidationError
 
 HALF_SQRT = math.sqrt(0.5)
 
-#: quadratic counting is faster than merge counting below this size
-_MERGE_CUTOFF = 64
+#: largest n counted quadratically: timed against the cell counter, the
+#: quadratic count wins up to n ~ 100 on 5-level data and ~ 140 tie-free
+_MERGE_CUTOFF = 100
 
 VectorLike = Union["DataVector", Sequence[float], np.ndarray]
 
@@ -182,47 +187,51 @@ def kappa_map(x: VectorLike) -> KappaMatrix:
     return KappaMatrix(gt.astype(np.int8) - lt.astype(np.int8))
 
 
-def _tie_group_sizes(a: np.ndarray) -> np.ndarray:
-    _, counts = np.unique(a, return_counts=True)
-    return counts[counts > 1]
+def _tied_pairs(sizes: np.ndarray) -> int:
+    """Pairs inside groups of the given sizes: the sum of C(s, 2)."""
+    return int((sizes * (sizes - 1) // 2).sum())
 
 
 def _pair_tie_count(a: np.ndarray) -> int:
-    counts = _tie_group_sizes(a)
-    return int((counts * (counts - 1) // 2).sum())
+    return _tied_pairs(np.unique(a, return_counts=True)[1])
 
 
-def _count_inversions(a: np.ndarray) -> int:
-    """Pairs i<j with a[i] > a[j], by divide and conquer with searchsorted."""
-    n = a.size
-    if n <= _MERGE_CUTOFF:
-        return int(np.triu(a[:, None] > a[None, :], k=1).sum())
-    mid = n // 2
-    left, right = a[:mid], a[mid:]
-    inv = _count_inversions(left) + _count_inversions(right)
-    left_sorted = np.sort(left)
-    right_sorted = np.sort(right)
-    # cross pairs: elements of left strictly above each right element
-    inv += int((mid - np.searchsorted(left_sorted, right_sorted, side="right")).sum())
-    return inv
+def _count_inversions(r: np.ndarray, w: np.ndarray) -> int:
+    """Weighted inversions: the sum of w[i] * w[j] over i < j with r[i] > r[j].
+
+    r >= 0.  Pass b (high bit first) stable-sorts by r >> b.  Elements equal
+    above bit b are still in input order, so each moves past exactly those
+    that differ from it at b, and the moved-past weight sums to twice the
+    inversions whose highest differing bit is b.
+    """
+    top = int(r.max())
+    prefix = np.cumsum(w)
+    twice = 0
+    for shift in reversed(range(top.bit_length())):
+        key = r >> shift
+        # 16-bit keys take numpy's radix sort
+        order = np.argsort(key.astype(np.uint16) if top >> shift < 1 << 16 else key,
+                           kind="stable")
+        r, w, moved = r[order], w[order], prefix[order]
+        prefix = np.cumsum(w)
+        twice += int(np.abs(moved - prefix) @ w)
+    return twice // 2
 
 
 def _pair_counts_merge(xv: np.ndarray, yv: np.ndarray) -> PairCounts:
     n = xv.size
     n0 = n * (n - 1) // 2
-    order = np.lexsort((yv, xv))
-    ys = yv[order]
-    # after the lexsort, equal-x blocks are y-ascending, so strict y
-    # inversions are exactly the discordant pairs
-    discordant = _count_inversions(ys)
-    ties_x = _pair_tie_count(xv)
-    ties_y = _pair_tie_count(yv)
-    xs = xv[order]
-    same = (xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1])
-    # joint tie-group sizes from run lengths of identical (x, y) rows
-    boundaries = np.flatnonzero(~same)
-    sizes = np.diff(np.concatenate(([-1], boundaries, [n - 1])))
-    ties_xy = int((sizes * (sizes - 1) // 2).sum())
+    _, rx, cx = np.unique(xv, return_inverse=True, return_counts=True)
+    _, ry, cy = np.unique(yv, return_inverse=True, return_counts=True)
+    ties_x, ties_y = _tied_pairs(cx), _tied_pairs(cy)
+    # discordance is symmetric in x and y: put the column with fewer levels
+    # in the low digit so the inversion count takes fewer bit passes
+    ra, rb, kb = (rx, ry, cy.size) if cy.size <= cx.size else (ry, rx, cx.size)
+    # the distinct (a, b) cells in (a, b) order, weighted by multiplicity;
+    # a discordant pair is a b-inversion between cells of different a
+    cells, w = np.unique(ra * kb + rb, return_counts=True)
+    discordant = _count_inversions(cells % kb, w)
+    ties_xy = _tied_pairs(w)
     concordant = n0 - ties_x - ties_y + ties_xy - discordant
     return PairCounts(n, concordant, discordant, ties_x, ties_y, ties_xy)
 
@@ -243,9 +252,10 @@ def _pair_counts_quadratic(xv: np.ndarray, yv: np.ndarray) -> PairCounts:
 def pair_counts(x: VectorLike, y: VectorLike, method: str = "auto") -> PairCounts:
     """Exact concordant/discordant/tie tallies for the pair (x, y).
 
-    method: "auto" picks quadratic below n=64, merge above; "quadratic" is
+    method: "auto" picks quadratic up to n=100, merge above; "quadratic" is
     the O(n^2) reference used as the oracle in tests; "merge" is the
-    O(n log n) production path.
+    O(n log n) production path, counting over the distinct (x, y) cells,
+    so tied data costs O(m log k) after ranking (see the module docstring).
     """
     xv, yv = _check_pair(x, y)
     if method == "auto":

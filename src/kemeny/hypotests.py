@@ -129,6 +129,8 @@ def kemeny_t_welch(x: VectorLike, y: VectorLike) -> TestResult:
     """
     xv, yv = _prepare_pair(x, y)
     n = xv.n
+    if n < 3:
+        raise DegenerateInputError(f"kemeny_t_welch needs n >= 3 for n - 2 df, got n={n}")
     var_x = kemeny_variance(xv)
     var_y = kemeny_variance(yv)
     if var_x == 0.0 or var_y == 0.0:
@@ -200,14 +202,4 @@ def point_biserial(group: VectorLike, outcome: VectorLike) -> TestResult:
         raise ValidationError(
             f"group must take exactly 2 distinct values, got {distinct.size}"
         )
-    result = kemeny_z_test(gv, outcome)
-    return TestResult(
-        statistic=result.statistic,
-        df=result.df,
-        p_two_sided=result.p_two_sided,
-        p_one_sided=result.p_one_sided,
-        method="kemeny_z",
-        n=result.n,
-        effect=result.effect,
-        details=result.details,
-    )
+    return kemeny_z_test(gv, outcome)

@@ -85,6 +85,12 @@ class TestRunHarness:
         assert (
             report.skipped["spearman_rho"] + report.evaluated["spearman_rho"] == 200
         )
+        # the Welch t has n - 2 = 0 df on every two-row resample
+        welch = HarnessConfig(
+            replicates=20, resample_size=2, seed=11, methods=("kemeny_t_welch",)
+        )
+        with pytest.raises(ValidationError, match="degenerate for method 'kemeny_t_welch'"):
+            run_harness(welch, x, y)
 
     def test_binary_group_validation(self, iris):
         config = HarnessConfig(

@@ -1,7 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import kendalltau
 
 from kemeny import (
     DataVector,
@@ -21,7 +25,7 @@ from kemeny import (
     sin_transform,
     tau_kappa,
 )
-from kemeny.baselines import spearman_rho
+from kemeny.baselines import kendall_tau_b, spearman_rho
 
 from conftest import random_tied_vector, random_tiefree_vector
 
@@ -274,6 +278,76 @@ class TestMergeVsQuadraticOracle:
         x = np.array([-math.inf, 1.0, 1.0, math.inf, 2.0, -math.inf])
         y = np.array([3.0, math.inf, 2.0, 2.0, -math.inf, 3.0])
         assert pair_counts(x, y, method="merge") == pair_counts(x, y, method="quadratic")
+
+
+# values that stress the comparisons: both infinities and both signed zeros
+_SPECIAL = (-math.inf, -0.0, 0.0, math.inf)
+
+
+@st.composite
+def _column(draw, n):
+    """n draws from a pool of 1..n levels: constant, heavily tied or spread."""
+    value = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=False))
+    pool = draw(st.lists(value, min_size=1, max_size=n))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+
+
+@st.composite
+def _pairs(draw):
+    n = draw(st.integers(2, 80))
+    return draw(_column(n)), draw(_column(n))
+
+
+_PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+
+
+class TestMergeProperties:
+    @_PROPERTY
+    @given(_pairs())
+    @example((np.array([1.0, 2.0]), np.array([2.0, 1.0])))
+    @example((np.array([3.0, 3.0, 3.0]), np.array([1.0, 0.0, 2.0])))
+    @example((np.array([-0.0, 0.0, 1.0, -0.0]), np.array([0.0, -0.0, -math.inf, 1.0])))
+    @example((np.repeat([0.0, 1.0], 40), np.arange(80.0)[::-1]))
+    def test_merge_equals_quadratic(self, xy):
+        x, y = xy
+        assert pair_counts(x, y, method="merge") == pair_counts(x, y, method="quadratic")
+
+    @_PROPERTY
+    @given(_pairs())
+    def test_argument_swap_swaps_ties(self, xy):
+        x, y = xy
+        fwd = pair_counts(x, y, method="merge")
+        rev = pair_counts(y, x, method="merge")
+        assert rev == dataclasses.replace(fwd, ties_x=fwd.ties_y, ties_y=fwd.ties_x)
+
+
+class TestLargeN:
+    """n = 70,000: past the quadratic oracle, and past 2**16 distinct ranks."""
+
+    N = 70_000
+
+    def test_tau_b_matches_scipy(self):
+        rng = np.random.default_rng(70_000)
+        x = rng.standard_normal(self.N)
+        y = 0.5 * x + rng.standard_normal(self.N)
+        assert np.unique(y).size > 1 << 16
+        for a, b in ((x, y), (np.round(x, 1), y), (np.round(x, 1), np.round(y, 1))):
+            want = kendalltau(a, b).statistic
+            assert kendall_tau_b(a, b) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_reversed_blocks(self):
+        # blocks of 7 in reverse order: every pair in different blocks is
+        # discordant; a pair inside one block is concordant when y ascends
+        # inside the blocks and tied in y when y is constant inside them
+        n, size = self.N, 7
+        block = np.arange(n) // size
+        inside = n // size * (size * (size - 1) // 2)
+        x = np.arange(n, dtype=float)
+        ascending = (block[::-1] * size + np.arange(n) % size).astype(float)
+        c = pair_counts(x, ascending, method="merge")
+        assert (c.discordant, c.concordant) == (c.total - inside, inside)
+        c = pair_counts(x, block[::-1].astype(float), method="merge")
+        assert (c.discordant, c.concordant, c.ties_y) == (c.total - inside, 0, inside)
 
 
 class TestDiagnostics:

@@ -201,6 +201,17 @@ class TestCliTest:
         assert code == 4
         assert json.loads(err)["error"]["code"] == "numeric"
 
+    def test_welch_on_two_rows_fails_numerically(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n1,2\n2,1\n")
+        code, _, err = run_cli(
+            capsys, "test", "--data", str(path), "--x", "a", "--y", "b",
+            "--method", "welch",
+        )
+        assert code == 4
+        error = json.loads(err)["error"]
+        assert error["code"] == "numeric" and "kemeny_t_welch" in error["message"]
+
     def test_missing_column_is_data_error(self, capsys):
         code, _, err = run_cli(
             capsys, "test", "--data", "sleep", "--x", "nope", "--y", "extra",

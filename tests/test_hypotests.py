@@ -112,6 +112,10 @@ class TestWelchT:
         with pytest.raises(DegenerateInputError):
             kemeny_t_welch([2, 2, 2], [1, 2, 3])
 
+    def test_two_rows_have_no_df(self):
+        with pytest.raises(DegenerateInputError, match="kemeny_t_welch needs n >= 3"):
+            kemeny_t_welch([1, 2], [2, 1])
+
 
 class TestPairedT:
     def test_sleep_golden(self, sleep):
