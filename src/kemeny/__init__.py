@@ -25,7 +25,6 @@ from .core import (  # noqa: E402
     kemeny_rho,
     rho_rowsum_diagnostic,
     sin_transform,
-    population_cardinality,
 )
 from .errors import (  # noqa: E402
     KemenyError,
@@ -43,6 +42,7 @@ from .population import (  # noqa: E402
     distance_distribution_moments,
     table1_report,
     cardinality_gap,
+    population_cardinality,
 )
 from .moments import MomentsSummary, MomentAccumulator, IntHistogram, summarize  # noqa: E402
 from .special import (  # noqa: E402

@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "montecarlo"), default="exhaustive")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--exhaustive-cap-override", type=int, default=0,
-                   help="raise the exhaustive cap (n=6 maximum; slow)")
+                   help="raise the exhaustive cap (n=6 maximum)")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("table1", help="closed-form vs empirical sd comparison report")

@@ -371,10 +371,3 @@ def sin_transform(tau: float) -> float:
     if not -1.0 <= tau <= 1.0:
         raise ValidationError(f"tau must lie in [-1, 1], got {tau}")
     return math.sin(tau * math.pi / 2.0)
-
-
-def population_cardinality(n: int) -> int:
-    """Number of length-n vectors over {1..n} excluding the n constants: n^n - n."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    return n**n - n

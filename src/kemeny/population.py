@@ -1,9 +1,13 @@
 """Enumeration and sampling of the permutation-with-ties population.
 
 The population for sample size n is every vector in {1..n}^n except the n
-constant vectors, for n^n - n members in total.  Exhaustive mode walks all
-ordered pairs of members (M^2 centered distances); Monte Carlo mode draws
-member pairs independently and uniformly (constants rejected) with
+constant vectors, for n^n - n members in total.  Exhaustive mode counts the
+centered distances of all M^2 ordered member pairs by weak order: a member's
+ties and ranks fix every distance, and a weak order with k blocks stands for
+C(n, k) members.  Permuting the positions of both members keeps the distance,
+so x runs over the sorted weak orders only, the compositions a_1..a_k of n,
+each also standing for its n!/prod(a_i!) permutations.  Monte Carlo mode
+draws member pairs independently and uniformly (constants rejected) with
 counter-based chunk seeding, so results are identical no matter how the
 stream is partitioned across workers.
 """
@@ -88,26 +92,45 @@ def enumerate_population(n: int, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> Iterator[
         yield row
 
 
-def _sign_rows(vecs: np.ndarray) -> np.ndarray:
-    """Flattened pairwise sign patterns, one row per member; int8."""
-    gt = vecs[:, :, None] > vecs[:, None, :]
-    lt = vecs[:, :, None] < vecs[:, None, :]
-    m = vecs.shape[0]
-    return (gt.astype(np.int8) - lt.astype(np.int8)).reshape(m, -1)
+def _weak_orders(n: int) -> np.ndarray:
+    """All Fubini(n) weak orders of n items as dense-rank int8 rows.  Each new
+    item joins block j < k of a k-block row or opens a new block at j <= k."""
+    rows = np.zeros((1, 1), dtype=np.int8)
+    for m in range(1, n):
+        blocks = rows.max(axis=1) + 1
+        parts = []
+        for j in range(m + 1):
+            opened = rows[blocks >= j]
+            for grown in (opened + (opened >= j), rows[blocks > j]):
+                parts.append(np.column_stack([grown, np.full(len(grown), j, np.int8)]))
+        rows = np.concatenate(parts)
+    return rows
+
+
+def _upper_signs(rows: np.ndarray) -> np.ndarray:
+    """sign(r_i - r_j) over the n(n-1)/2 pairs i < j, one row per member."""
+    i, j = np.triu_indices(rows.shape[1], 1)
+    return np.sign(rows[:, i] - rows[:, j])
 
 
 def _exhaustive_histogram(n: int) -> IntHistogram:
-    vecs = _member_matrix(n)
-    signs = _sign_rows(vecs)
+    # y runs over all non-constant weak orders, weighted C(n, k_y); x over the
+    # sorted ones, weighted C(n, k_x) * n!/prod(a_i!); no member is enumerated
     half = n * (n - 1) // 2
     hist = IntHistogram(-half, half)
-    # float32 matmul is BLAS-backed and exact here: every partial sum is an
-    # integer bounded by n^2 << 2^24
-    sb = signs.astype(np.float32)
-    block = max(1, (1 << 25) // max(1, signs.shape[0]))
-    for start in range(0, signs.shape[0], block):
-        g = np.rint(sb[start : start + block] @ sb.T).astype(np.int64)
-        hist.update(-(g >> 1))
+    ys = _weak_orders(n)
+    blocks = ys.max(axis=1) + 1
+    signs = _upper_signs(ys).astype(np.int64)
+    by_blocks = [(math.comb(n, k), signs[blocks == k].T) for k in range(2, n + 1)]
+    sorted_x = (np.diff(ys, axis=1) >= 0).all(axis=1) & (blocks > 1)
+    for x, sx in zip(ys[sorted_x], signs[sorted_x]):
+        orbit = math.factorial(n) // math.prod(map(math.factorial, np.bincount(x)))
+        x_members = orbit * math.comb(n, int(x[-1]) + 1)
+        for y_members, sy in by_blocks:
+            # half - sx @ sy is the bin of the distance -sum_{i<j} sx * sy
+            bins = np.bincount(half - sx @ sy, minlength=2 * half + 1)
+            hist.counts += x_members * y_members * bins
+    assert hist.total == (n**n - n) ** 2
     return hist
 
 
@@ -129,17 +152,15 @@ def _montecarlo_histogram(spec: PopulationSpec) -> IntHistogram:
     half = n * (n - 1) // 2
     hist = IntHistogram(-half, half)
     n_chunks = -(-spec.sample_count // _MC_CHUNK)
+    # smallest dtype holding members in [1, n] and differences in [1-n, n-1]
+    small = np.min_scalar_type(-n - 1)
     for chunk in range(n_chunks):
         take = min(_MC_CHUNK, spec.sample_count - chunk * _MC_CHUNK)
         # fixed-size chunks with spawn-key seeding: worker-count independent
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(chunk,)))
-        xs = _sample_members(n, take, rng)
-        ys = _sample_members(n, take, rng)
-        sx = _sign_rows(xs)
-        sy = _sign_rows(ys)
-        # elementwise products are only -1/0/+1, so int8 storage is safe
-        paired = (sx * sy).sum(axis=1, dtype=np.int64)
-        hist.update(-(paired >> 1))
+        sx = _upper_signs(_sample_members(n, take, rng).astype(small))
+        sx *= _upper_signs(_sample_members(n, take, rng).astype(small))
+        hist.update(-sx.sum(axis=1, dtype=np.int64))
     return hist
 
 

@@ -320,6 +320,25 @@ class TestMergeProperties:
         rev = pair_counts(y, x, method="merge")
         assert rev == dataclasses.replace(fwd, ties_x=fwd.ties_y, ties_y=fwd.ties_x)
 
+    @_PROPERTY
+    @given(_pairs())
+    def test_negating_y_swaps_concordant_and_discordant(self, xy):
+        x, y = xy
+        fwd = pair_counts(x, y, method="merge")
+        flipped = pair_counts(x, -y, method="merge")
+        assert flipped == dataclasses.replace(
+            fwd, concordant=fwd.discordant, discordant=fwd.concordant
+        )
+
+    @_PROPERTY
+    @given(_pairs(), st.data())
+    def test_shared_permutation_leaves_counts(self, xy, data):
+        x, y = xy
+        perm = np.array(data.draw(st.permutations(range(len(x)))))
+        assert pair_counts(x[perm], y[perm], method="merge") == pair_counts(
+            x, y, method="merge"
+        )
+
 
 class TestLargeN:
     """n = 70,000: past the quadratic oracle, and past 2**16 distinct ranks."""

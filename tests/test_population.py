@@ -12,7 +12,12 @@ from kemeny import (
     population_variance_formula,
     table1_report,
 )
-from kemeny.population import _member_matrix, distance_histogram
+from kemeny.population import (
+    _MC_CHUNK,
+    _member_matrix,
+    _montecarlo_histogram,
+    distance_histogram,
+)
 
 
 class TestEnumeration:
@@ -98,6 +103,71 @@ class TestExhaustiveMoments:
         hist = distance_histogram(PopulationSpec(n=3, mode="exhaustive"))
         ref_counts = np.bincount((ref + 3).ravel(), minlength=7)
         assert (hist.counts == ref_counts).all()
+
+
+def _bruteforce_counts(n):
+    """Histogram counts from the full sign matrix of every member pair."""
+    vecs = _member_matrix(n)
+    signs = np.sign(vecs[:, :, None] - vecs[:, None, :]).reshape(len(vecs), -1)
+    half = n * (n - 1) // 2
+    counts = np.zeros(2 * half + 1, dtype=np.int64)
+    for start in range(0, len(vecs), 512):
+        dist = -(signs[start : start + 512] @ signs.T) // 2
+        counts += np.bincount((dist + half).ravel(), minlength=2 * half + 1)
+    return counts
+
+
+class TestCollapsedExhaustive:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_bruteforce(self, n):
+        hist = distance_histogram(PopulationSpec(n=n, mode="exhaustive"))
+        assert (hist.counts == _bruteforce_counts(n)).all()
+
+    def test_n6_exact_and_near_montecarlo(self):
+        hist = distance_histogram(PopulationSpec(n=6, mode="exhaustive", exhaustive_cap=6))
+        assert hist.total == (6**6 - 6) ** 2
+        assert (hist.counts == hist.counts[::-1]).all()
+        exact = hist.summary()
+        assert exact.mean == 0.0
+        count = 200_000
+        mc = distance_distribution_moments(
+            PopulationSpec(n=6, mode="montecarlo", sample_count=count, seed=6)
+        )
+        assert abs(mc.mean - exact.mean) < 3 * exact.sd / math.sqrt(count)
+        se_sd = exact.sd * math.sqrt((exact.excess_kurtosis + 2.0) / (4.0 * count))
+        assert abs(mc.sd - exact.sd) < 3 * se_sd
+
+
+def _draw_members(n, count, rng):
+    """Uniform non-constant members by rejection: the seed contract's draws."""
+    rows = []
+    while count:
+        draw = rng.integers(1, n + 1, size=(count, n))
+        draw = draw[(draw != draw[:, :1]).any(axis=1)]
+        rows.append(draw)
+        count -= len(draw)
+    return np.concatenate(rows)
+
+
+class TestMonteCarloStream:
+    # 5000 samples cross the chunk boundary; n=129 is the first size
+    # whose differences overflow int8
+    @pytest.mark.parametrize("n,count", [(9, 5000), (129, 3)])
+    def test_matches_full_sign_matrix_on_same_draws(self, n, count):
+        seed = 11
+        half = n * (n - 1) // 2
+        want = np.zeros(2 * half + 1, dtype=np.int64)
+        for chunk in range(-(-count // _MC_CHUNK)):
+            take = min(_MC_CHUNK, count - chunk * _MC_CHUNK)
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
+            xs = _draw_members(n, take, rng)
+            ys = _draw_members(n, take, rng)
+            sx = np.sign(xs[:, :, None] - xs[:, None, :])
+            sy = np.sign(ys[:, :, None] - ys[:, None, :])
+            dist = -(sx * sy).sum(axis=(1, 2)) // 2
+            want += np.bincount(dist + half, minlength=2 * half + 1)
+        spec = PopulationSpec(n=n, mode="montecarlo", sample_count=count, seed=seed)
+        assert (_montecarlo_histogram(spec).counts == want).all()
 
 
 class TestMonteCarlo:
