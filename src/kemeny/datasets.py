@@ -3,7 +3,17 @@
 Parsing is strict by design: every retained cell must be numeric ("Inf" /
 "-Inf" count as extended reals), and any failure names the offending row
 and column.  Non-numeric columns are only tolerated when explicitly
-excluded.
+excluded.  A file that cannot be opened, is not UTF-8 or that the csv
+module rejects raises DataError naming the file.
+
+``csv.reader`` is the only tokeniser.  Once every row has the header's
+width, all kept cells go through ``float()`` in one C-level pass
+(``np.fromiter`` over the row-major cells) and one NaN check; ``float()``
+accepts exactly the spellings ``_parse_cell`` accepts, with the same values,
+apart from NaN.  When that pass fails (a ragged row, a cell ``float()``
+rejects, a NaN), a row-major strict scan parses cell by cell with
+``_parse_cell`` and raises at the first bad row or cell, so the error and
+its message are those of a cell-by-cell parse.
 
 Embedded data:
 
@@ -20,6 +30,8 @@ import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -88,6 +100,40 @@ def _parse_cell(text: str, row: int, col: str) -> float:
     return value
 
 
+def _strict_scan(body, header, keep, source):
+    """Row-major parse, cell by cell: the first bad cell or ragged row raises."""
+    width = len(header)
+    out = np.empty((len(body), len(keep)))
+    for i, row in enumerate(body, start=2):
+        if len(row) != width:
+            raise DataError(
+                f"{source}: ragged row {i} has {len(row)} cells, expected {width}"
+            )
+        for k, j in enumerate(keep):
+            out[i - 2, k] = _parse_cell(row[j], i, header[j])
+    return out
+
+
+def _convert(body, header, keep, source):
+    """All kept cells through float() in one C-level pass, row-major; any
+    failure falls back to the strict scan, which locates and reports it."""
+    if set(map(len, body)) == {len(header)}:
+        if len(keep) == len(header):
+            cells = chain.from_iterable(body)
+        elif len(keep) == 1:
+            cells = map(itemgetter(keep[0]), body)
+        else:
+            cells = chain.from_iterable(map(itemgetter(*keep), body))
+        try:
+            out = np.fromiter(map(float, cells), float, count=len(body) * len(keep))
+        except ValueError:
+            pass
+        else:
+            if not np.isnan(out).any():
+                return out.reshape(len(body), len(keep))
+    return _strict_scan(body, header, keep, source)
+
+
 def _parse_rows(rows, exclude, source):
     rows = list(rows)
     if not rows:
@@ -99,15 +145,7 @@ def _parse_rows(rows, exclude, source):
     if not keep:
         raise DataError(f"{source}: no columns left after exclusion")
     names = tuple(header[j] for j in keep)
-    width = len(header)
-    out = np.empty((len(rows) - 1, len(keep)))
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise DataError(
-                f"{source}: ragged row {i} has {len(row)} cells, expected {width}"
-            )
-        for k, j in enumerate(keep):
-            out[i - 2, k] = _parse_cell(row[j], i, header[j])
+    out = _convert(rows[1:], header, keep, source)
     if out.shape[0] == 0:
         raise DataError(f"{source}: no data rows")
     return Dataset(columns=names, data=out)
@@ -120,9 +158,9 @@ def load_csv(path: str, delimiter: str = ",", header: bool = True, exclude=()) -
     dropped before numeric validation (e.g. a species label).
     """
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8") as handle:
             raw = list(csv.reader(handle, delimiter=delimiter))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not header:
         if not raw:

@@ -154,17 +154,22 @@ class IntHistogram:
         if total == 0:
             raise ValidationError("histogram is empty")
         nz = np.flatnonzero(self.counts)
-        values = [int(self.lo + i) for i in nz]
-        counts = [int(self.counts[i]) for i in nz]
-        s1 = sum(c * v for c, v in zip(counts, values))
-        mean = Fraction(s1, total)
-        m2 = m3 = m4 = Fraction(0)
-        for c, v in zip(counts, values):
-            d = Fraction(v) - mean
-            d2 = d * d
-            m2 += c * d2
-            m3 += c * d2 * d
-            m4 += c * d2 * d2
+        # integer power sums S1..S4; the central sums follow exactly, e.g.
+        # sum c*(v - S1/T)^2 = (T*S2 - S1^2)/T, one Fraction per moment
+        s1 = s2 = s3 = s4 = 0
+        for c, v in zip(self.counts[nz].tolist(), (self.lo + nz).tolist()):
+            cv = c * v
+            s1 += cv
+            s2 += cv * v
+            s3 += cv * v * v
+            s4 += cv * v * v * v
+        t = total
+        mean = Fraction(s1, t)
+        m2 = Fraction(t * s2 - s1**2, t)
+        m3 = Fraction(t**2 * s3 - 3 * t * s1 * s2 + 2 * s1**3, t**2)
+        m4 = Fraction(
+            t**3 * s4 - 4 * t**2 * s1 * s3 + 6 * t * s1**2 * s2 - 3 * s1**4, t**3
+        )
         mu2 = m2 / total
         mn = float(self.lo + nz[0])
         mx = float(self.lo + nz[-1])

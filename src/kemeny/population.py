@@ -26,6 +26,9 @@ from .moments import IntHistogram, MomentsSummary
 DEFAULT_EXHAUSTIVE_CAP = 5
 _HARD_EXHAUSTIVE_CAP = 6
 _MC_CHUNK = 4096
+#: most sign entries held at once: a chunk of m members is scored in blocks
+#: of _MC_BLOCK // m position pairs, so memory stays bounded at any n
+_MC_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -107,10 +110,10 @@ def _weak_orders(n: int) -> np.ndarray:
     return rows
 
 
-def _upper_signs(rows: np.ndarray) -> np.ndarray:
-    """sign(r_i - r_j) over the n(n-1)/2 pairs i < j, one row per member."""
-    i, j = np.triu_indices(rows.shape[1], 1)
-    return np.sign(rows[:, i] - rows[:, j])
+def _upper_signs(cols: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """sign(c_i - c_j) for the position pairs (i, j), i < j, one row per pair;
+    ``cols`` holds one row per position and one column per member."""
+    return np.sign(cols[i] - cols[j])
 
 
 def _exhaustive_histogram(n: int) -> IntHistogram:
@@ -120,10 +123,10 @@ def _exhaustive_histogram(n: int) -> IntHistogram:
     hist = IntHistogram(-half, half)
     ys = _weak_orders(n)
     blocks = ys.max(axis=1) + 1
-    signs = _upper_signs(ys).astype(np.int64)
-    by_blocks = [(math.comb(n, k), signs[blocks == k].T) for k in range(2, n + 1)]
+    signs = _upper_signs(ys.T, *np.triu_indices(n, 1)).astype(np.int64)
+    by_blocks = [(math.comb(n, k), signs[:, blocks == k]) for k in range(2, n + 1)]
     sorted_x = (np.diff(ys, axis=1) >= 0).all(axis=1) & (blocks > 1)
-    for x, sx in zip(ys[sorted_x], signs[sorted_x]):
+    for x, sx in zip(ys[sorted_x], signs[:, sorted_x].T):
         orbit = math.factorial(n) // math.prod(map(math.factorial, np.bincount(x)))
         x_members = orbit * math.comb(n, int(x[-1]) + 1)
         for y_members, sy in by_blocks:
@@ -154,13 +157,22 @@ def _montecarlo_histogram(spec: PopulationSpec) -> IntHistogram:
     n_chunks = -(-spec.sample_count // _MC_CHUNK)
     # smallest dtype holding members in [1, n] and differences in [1-n, n-1]
     small = np.min_scalar_type(-n - 1)
+    i, j = np.triu_indices(n, 1)
     for chunk in range(n_chunks):
         take = min(_MC_CHUNK, spec.sample_count - chunk * _MC_CHUNK)
         # fixed-size chunks with spawn-key seeding: worker-count independent
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(chunk,)))
-        sx = _upper_signs(_sample_members(n, take, rng).astype(small))
-        sx *= _upper_signs(_sample_members(n, take, rng).astype(small))
-        hist.update(-sx.sum(axis=1, dtype=np.int64))
+        # one row per position, one column per member
+        xs = _sample_members(n, take, rng).T.astype(small, order="C")
+        ys = _sample_members(n, take, rng).T.astype(small, order="C")
+        dist = np.zeros(take, dtype=np.int64)
+        width = max(1, _MC_BLOCK // take)
+        for lo in range(0, half, width):
+            pi, pj = i[lo : lo + width], j[lo : lo + width]
+            sx = _upper_signs(xs, pi, pj)
+            sx *= _upper_signs(ys, pi, pj)
+            dist -= sx.sum(axis=0, dtype=np.int64)
+        hist.update(dist)
     return hist
 
 

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kemeny import load_iris, load_sleep
+
+# every property test: 100 examples from a fixed derivation, no deadline,
+# and no example database written to .hypothesis/
+settings.register_profile(
+    "kemeny", derandomize=True, max_examples=100, deadline=None, database=None
+)
+settings.load_profile("kemeny")
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import kendalltau
 
@@ -298,11 +298,7 @@ def _pairs(draw):
     return draw(_column(n)), draw(_column(n))
 
 
-_PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
-
-
 class TestMergeProperties:
-    @_PROPERTY
     @given(_pairs())
     @example((np.array([1.0, 2.0]), np.array([2.0, 1.0])))
     @example((np.array([3.0, 3.0, 3.0]), np.array([1.0, 0.0, 2.0])))
@@ -312,7 +308,6 @@ class TestMergeProperties:
         x, y = xy
         assert pair_counts(x, y, method="merge") == pair_counts(x, y, method="quadratic")
 
-    @_PROPERTY
     @given(_pairs())
     def test_argument_swap_swaps_ties(self, xy):
         x, y = xy
@@ -320,7 +315,6 @@ class TestMergeProperties:
         rev = pair_counts(y, x, method="merge")
         assert rev == dataclasses.replace(fwd, ties_x=fwd.ties_y, ties_y=fwd.ties_x)
 
-    @_PROPERTY
     @given(_pairs())
     def test_negating_y_swaps_concordant_and_discordant(self, xy):
         x, y = xy
@@ -330,7 +324,6 @@ class TestMergeProperties:
             fwd, concordant=fwd.discordant, discordant=fwd.concordant
         )
 
-    @_PROPERTY
     @given(_pairs(), st.data())
     def test_shared_permutation_leaves_counts(self, xy, data):
         x, y = xy

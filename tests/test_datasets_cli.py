@@ -1,12 +1,15 @@
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kemeny import DataError, load_csv, load_dataset
 from kemeny.cli import main
-from kemeny.datasets import Dataset
+from kemeny.datasets import Dataset, _parse_cell
 
 
 class TestEmbeddedData:
@@ -83,6 +86,112 @@ class TestCsvParsing:
     def test_select_preserves_order(self):
         d = Dataset(columns=("a", "b"), data=np.array([[1.0, 2.0]]))
         assert d.select(["b", "a"]).columns == ("b", "a")
+
+
+_SPACE = st.text(alphabet=" \t\n\r\x0b\x0c\xa0", max_size=2)
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False).map(repr), st.integers(-(10**20), 10**20).map(str)
+)
+# about half the cells are padded well-formed numbers
+_CELL = st.one_of(
+    st.builds("{}{}{}".format, _SPACE, _NUMBER, _SPACE),
+    st.one_of(
+        st.text(alphabet="0123456789+-.e_ \t\n\r\x0b\x0c\xa0", max_size=8),
+        st.sampled_from(
+            ["inf", "-Infinity", " +INF ", "nan", "-nan", "NA", "n/a", "null", "", "1_0"]
+        ),
+    ),
+)
+
+
+def _assert_loads_as_parse_cell(path, rows, names):
+    """load_csv must match the row-major cell-by-cell parse: the same bytes,
+    or the same first DataError."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows([names, *rows])
+    try:
+        want = np.array(
+            [[_parse_cell(cell, i, name) for cell, name in zip(row, names)]
+             for i, row in enumerate(rows, start=2)]
+        )
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            load_csv(str(path))
+        assert str(got.value) == str(exc)
+    else:
+        assert load_csv(str(path)).data.tobytes() == want.tobytes()
+
+
+class TestColumnWiseLoader:
+    @given(_CELL)
+    def test_cell_agrees_with_parse_cell(self, tmp_path_factory, cell):
+        path = tmp_path_factory.mktemp("cell") / "t.csv"
+        _assert_loads_as_parse_cell(path, [(cell,)], ("a",))
+
+    @given(st.lists(st.tuples(_CELL, _CELL), min_size=1, max_size=4))
+    def test_table_agrees_with_cell_by_cell_parse(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        _assert_loads_as_parse_cell(path, rows, ("a", "b"))
+
+    def test_first_bad_cell_in_row_major_order(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2\n3,x\n4,5\ny,6\n")
+        with pytest.raises(DataError, match=r"^non-numeric cell 'x' at row 3, column 'b'$"):
+            load_csv(str(path))
+
+    def test_ragged_row_before_bad_cell(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2\n3\n4,x\n")
+        with pytest.raises(DataError, match=r"ragged row 3 has 1 cells, expected 2$"):
+            load_csv(str(path))
+
+    def test_bad_cell_before_ragged_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,NA\n3\n")
+        with pytest.raises(DataError, match=r"^missing value at row 2, column 'b'$"):
+            load_csv(str(path))
+
+    def test_one_kept_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,c\n1,23,3\n4,-5.5,6\n")
+        data = load_csv(str(path), exclude=("a", "c"))
+        assert data.columns == ("b",)
+        assert data.data.tolist() == [[23.0], [-5.5]]
+
+    def test_exclude_text_column_keeps_order(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,label,b\n1,x,2\n3,y,4\n")
+        data = load_csv(str(path), exclude=("label",))
+        assert data.columns == ("a", "b")
+        assert data.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_headerless_semicolon_values(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("1;2.5\n-inf;4\n")
+        data = load_csv(str(path), delimiter=";", header=False)
+        assert data.data.tolist() == [[1.0, 2.5], [-math.inf, 4.0]]
+
+    def test_negative_zero_kept_bit_for_bit(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n-0.0,0.0\n")
+        assert load_csv(str(path)).data.tobytes() == np.array([[-0.0, 0.0]]).tobytes()
+
+    def test_field_over_csv_limit_is_data_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a\n" + "1" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(DataError) as got:
+            load_csv(str(path))
+        assert str(got.value).startswith(f"cannot read {path}: field larger than")
+
+    def test_non_utf8_file_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b\n1,2\n\xe9,3\n")
+        code, out, err = run_cli(
+            capsys, "test", "--data", str(path), "--x", "a", "--y", "b", "--method", "z"
+        )
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "data" and str(path) in error["message"]
 
 
 def run_cli(capsys, *argv):

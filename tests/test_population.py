@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import kemeny.population as population
 from kemeny import (
     PopulationSpec,
     ValidationError,
@@ -168,6 +169,18 @@ class TestMonteCarloStream:
             want += np.bincount(dist + half, minlength=2 * half + 1)
         spec = PopulationSpec(n=n, mode="montecarlo", sample_count=count, seed=seed)
         assert (_montecarlo_histogram(spec).counts == want).all()
+
+
+class TestMonteCarloBlocks:
+    # a small budget splits each chunk into several pair blocks (at n=9
+    # ending in a partial one); a huge one scores each chunk in one block
+    @pytest.mark.parametrize("n,count,budget", [(9, 5000, 7 * _MC_CHUNK), (129, 3, 20)])
+    def test_blocks_match_unblocked(self, monkeypatch, n, count, budget):
+        spec = PopulationSpec(n=n, mode="montecarlo", sample_count=count, seed=5)
+        monkeypatch.setattr(population, "_MC_BLOCK", 1 << 62)
+        whole = _montecarlo_histogram(spec).counts
+        monkeypatch.setattr(population, "_MC_BLOCK", budget)
+        assert (_montecarlo_histogram(spec).counts == whole).all()
 
 
 class TestMonteCarlo:
