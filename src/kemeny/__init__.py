@@ -14,7 +14,9 @@ from .core import (  # noqa: E402
     CenteredDistance,
     RankRowVector,
     PairCounts,
+    PreparedPair,
     as_data_vector,
+    prepare_pair,
     kappa_map,
     pair_counts,
     kemeny_distance,
@@ -23,7 +25,6 @@ from .core import (  # noqa: E402
     kemeny_variance,
     row_sum_vector,
     kemeny_rho,
-    rho_rowsum_diagnostic,
     sin_transform,
 )
 from .errors import (  # noqa: E402

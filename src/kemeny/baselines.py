@@ -15,79 +15,74 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VectorLike, as_data_vector, pair_counts
-from .errors import DegenerateInputError, LengthMismatchError, ValidationError
+from .core import PairLike, PreparedPair, VectorLike, pair_counts, prepare_pair
+from .errors import DegenerateInputError, ValidationError
 from .special import std_normal_cdf, std_normal_sf
 
 
-def _nondegenerate_pair(x: VectorLike, y: VectorLike):
-    xv = as_data_vector(x)
-    yv = as_data_vector(y)
-    if xv.n != yv.n:
-        raise LengthMismatchError(f"length mismatch: {xv.n} vs {yv.n}")
-    if xv.is_degenerate or yv.is_degenerate:
+def _spread_pair(x: PairLike, y: VectorLike | None) -> PreparedPair:
+    pair = prepare_pair(x, y)
+    if pair.degenerate:
         raise DegenerateInputError("degenerate input vector")
-    return xv, yv
+    return pair
 
 
-def kendall_tau_a(x: VectorLike, y: VectorLike, method: str = "auto") -> float:
+def kendall_tau_a(x: PairLike, y: VectorLike | None = None, method: str = "auto") -> float:
     """Kendall tau-a: (C - D) / (n(n-1)/2), ties diluting the numerator."""
-    xv, yv = _nondegenerate_pair(x, y)
-    c = pair_counts(xv, yv, method=method)
+    c = pair_counts(_spread_pair(x, y), method=method)
     return (c.concordant - c.discordant) / c.total
 
 
-def kendall_tau_b(x: VectorLike, y: VectorLike, method: str = "auto") -> float:
+def kendall_tau_b(x: PairLike, y: VectorLike | None = None, method: str = "auto") -> float:
     """Tie-corrected Kendall tau-b: (C - D) / sqrt((n0 - Tx)(n0 - Ty))."""
-    xv, yv = _nondegenerate_pair(x, y)
-    c = pair_counts(xv, yv, method=method)
+    c = pair_counts(_spread_pair(x, y), method=method)
     denom = math.sqrt((c.total - c.ties_x) * (c.total - c.ties_y))
     return (c.concordant - c.discordant) / denom
 
 
-def kendall_distance(x: VectorLike, y: VectorLike, method: str = "auto") -> int:
+def kendall_distance(x: PairLike, y: VectorLike | None = None, method: str = "auto") -> int:
     """Kendall discordance count (number of discordant unordered pairs)."""
-    xv, yv = _nondegenerate_pair(x, y)
-    return pair_counts(xv, yv, method=method).discordant
+    return pair_counts(_spread_pair(x, y), method=method).discordant
 
 
-def _midranks(v: np.ndarray) -> np.ndarray:
-    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
-    upper = np.cumsum(counts)
-    mid = (upper - counts + 1 + upper) / 2.0
-    return mid[inverse]
+def spearman_rho(x: PairLike, y: VectorLike | None = None) -> float:
+    """Spearman's rho with mid-ranks for ties, summed over the weighted
+    cells (exact, see PreparedPair)."""
+    pair = _spread_pair(x, y)
+    # centered on the mean mid-rank, (n + 1) / 2; both columns vary
+    rx = pair.x_midranks - (pair.n + 1) / 2
+    ry = pair.y_midranks - (pair.n + 1) / 2
+    sxy = float(pair.weights @ (rx[pair.cell_x] * ry[pair.cell_y]))
+    return sxy / math.sqrt(float(pair.x_weights @ (rx * rx)) * float(pair.y_weights @ (ry * ry)))
 
 
-def spearman_rho(x: VectorLike, y: VectorLike) -> float:
-    """Spearman's rho with mid-ranks for ties."""
-    xv, yv = _nondegenerate_pair(x, y)
-    rx = _midranks(xv.values)
-    ry = _midranks(yv.values)
-    rx = rx - rx.mean()
-    ry = ry - ry.mean()
-    denom = math.sqrt(float(np.dot(rx, rx)) * float(np.dot(ry, ry)))
-    if denom == 0.0:
-        raise DegenerateInputError("zero rank variance")
-    return float(np.dot(rx, ry) / denom)
+def pearson_r(x: PairLike, y: VectorLike | None = None) -> float:
+    """Pearson product-moment correlation; undefined (rejected) for infinities.
 
-
-def pearson_r(x: VectorLike, y: VectorLike) -> float:
-    """Pearson product-moment correlation; undefined (rejected) for infinities."""
-    xv, yv = _nondegenerate_pair(x, y)
-    if not (np.isfinite(xv.values).all() and np.isfinite(yv.values).all()):
+    Summed over the rows in their order (a resampled pair's draw order).
+    """
+    pair = _spread_pair(x, y)
+    xv, yv = pair.x, pair.y
+    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
         raise ValidationError("Pearson correlation requires finite entries")
-    a = xv.values - xv.values.mean()
-    b = yv.values - yv.values.mean()
+    a = xv - xv.mean()
+    b = yv - yv.mean()
     denom = math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
     if denom == 0.0:
         raise DegenerateInputError("zero variance input")
     return float(np.dot(a, b) / denom)
 
 
-def pearson_t(x: VectorLike, y: VectorLike) -> float:
-    """The t statistic of the Pearson correlation, r sqrt((n-2)/(1-r^2))."""
-    r = pearson_r(x, y)
-    n = as_data_vector(x).n
+def pearson_t(x: PairLike, y: VectorLike | None = None) -> float:
+    """The t statistic of the Pearson correlation, r sqrt((n-2)/(1-r^2)).
+
+    Needs n >= 3: at n = 2 there are no degrees of freedom.
+    """
+    pair = prepare_pair(x, y)
+    r = pearson_r(pair)
+    n = pair.n
+    if n < 3:
+        raise DegenerateInputError(f"pearson_t needs n >= 3 for n - 2 df, got n={n}")
     if r >= 1.0 or r <= -1.0:
         return math.copysign(math.inf, r)
     return r * math.sqrt((n - 2) / (1.0 - r * r))
@@ -107,35 +102,28 @@ class RankSumResult:
         return {"W": self.W, "z": self.z, "p": self.p, "n1": self.n1, "n2": self.n2}
 
 
-def _split_groups(group: np.ndarray, outcome: np.ndarray):
-    labels = np.unique(group)
+def _group_rank_sums(pair: PreparedPair) -> tuple[list[int], list[float]]:
+    """Sizes and outcome mid-rank sums of the two groups of a binary x,
+    smaller label first."""
+    labels = np.flatnonzero(pair.x_weights)
     if labels.size != 2:
         raise ValidationError(f"group must be binary, got {labels.size} levels")
-    first = outcome[group == labels[0]]
-    second = outcome[group == labels[1]]
-    return first, second
+    sums = np.bincount(pair.cell_x, pair.weights * pair.y_midranks[pair.cell_y])
+    return pair.x_weights[labels].tolist(), sums[labels].tolist()
 
 
-def wilcoxon_rank_sum(group: VectorLike, outcome: VectorLike) -> RankSumResult:
+def wilcoxon_rank_sum(group: PairLike, outcome: VectorLike | None = None) -> RankSumResult:
     """Two-sample rank-sum with tie correction and continuity correction.
 
     W is the Mann-Whitney U of the smaller-labelled group (rank sum minus
     n1(n1+1)/2); reversing the labels maps W to n1*n2 - W.  p is two-sided
     from the normal approximation.
     """
-    gv = as_data_vector(group)
-    ov = as_data_vector(outcome)
-    if gv.n != ov.n:
-        raise LengthMismatchError(f"length mismatch: {gv.n} vs {ov.n}")
-    first, second = _split_groups(gv.values, ov.values)
-    n1, n2 = first.size, second.size
-    if n1 == 0 or n2 == 0:
-        raise ValidationError("each group needs at least one observation")
+    pair = prepare_pair(group, outcome)
+    (n1, n2), (r1, _) = _group_rank_sums(pair)
     n = n1 + n2
-    ranks = _midranks(ov.values)
-    r1 = float(ranks[gv.values == np.unique(gv.values)[0]].sum())
     w = r1 - n1 * (n1 + 1) / 2.0
-    _, counts = np.unique(ov.values, return_counts=True)
+    counts = pair.y_weights[pair.y_weights > 0]
     tie_term = float((counts.astype(float) ** 3 - counts).sum())
     sigma2 = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
     if sigma2 <= 0.0:
@@ -147,25 +135,20 @@ def wilcoxon_rank_sum(group: VectorLike, outcome: VectorLike) -> RankSumResult:
     return RankSumResult(W=w, z=z, p=min(1.0, p), n1=n1, n2=n2)
 
 
-def effect_sizes(group: VectorLike, outcome: VectorLike) -> dict:
+def effect_sizes(group: PairLike, outcome: VectorLike | None = None) -> dict:
     """Common rank-sum-derived effects: wilcox_r = z / sqrt(n) and glass_r,
     the rank-biserial 2(mean rank_1 - mean rank_2)/n.  Definitions are the
     conventional ones and are report-only."""
-    gv = as_data_vector(group)
-    ov = as_data_vector(outcome)
-    res = wilcoxon_rank_sum(gv, ov)
-    n = gv.n
-    ranks = _midranks(ov.values)
-    labels = np.unique(gv.values)
-    mean1 = float(ranks[gv.values == labels[0]].mean())
-    mean2 = float(ranks[gv.values == labels[1]].mean())
+    pair = prepare_pair(group, outcome)
+    res = wilcoxon_rank_sum(pair)
+    (n1, n2), (r1, r2) = _group_rank_sums(pair)
     return {
-        "wilcox_r": res.z / math.sqrt(n),
-        "glass_r": 2.0 * (mean1 - mean2) / n,
+        "wilcox_r": res.z / math.sqrt(pair.n),
+        "glass_r": 2.0 * (r1 / n1 - r2 / n2) / pair.n,
     }
 
 
-def kendall_z(x: VectorLike, y: VectorLike, tie_corrected: bool = True) -> float:
+def kendall_z(x: PairLike, y: VectorLike | None = None, tie_corrected: bool = True) -> float:
     """Normal-approximation z for Kendall's statistic S = C - D.
 
     tie_corrected=True (default) uses the full tie-adjusted null variance
@@ -173,21 +156,22 @@ def kendall_z(x: VectorLike, y: VectorLike, tie_corrected: bool = True) -> float
     comparison tables; False uses the tie-free asymptotic variance
     n(n-1)(2n+5)/18, under which the z collapses onto the Kemeny z scale.
     """
-    xv, yv = _nondegenerate_pair(x, y)
-    c = pair_counts(xv, yv)
+    pair = _spread_pair(x, y)
+    c = pair_counts(pair)
     s = c.concordant - c.discordant
     n = c.n
     if not tie_corrected:
         return s / math.sqrt(n * (n - 1) * (2 * n + 5) / 18.0)
-    tx = _tie_sizes(xv.values)
-    ty = _tie_sizes(yv.values)
+    tx = pair.x_weights[pair.x_weights > 0].astype(float)
+    ty = pair.y_weights[pair.y_weights > 0].astype(float)
     v0 = n * (n - 1) * (2 * n + 5)
     vt = float((tx * (tx - 1) * (2 * tx + 5)).sum())
     vu = float((ty * (ty - 1) * (2 * ty + 5)).sum())
     v1 = float((tx * (tx - 1)).sum()) * float((ty * (ty - 1)).sum()) / (
         2.0 * n * (n - 1)
     )
-    v2 = (
+    # no tie group has three members below n = 3, where the divisor is 0
+    v2 = 0.0 if n < 3 else (
         float((tx * (tx - 1) * (tx - 2)).sum())
         * float((ty * (ty - 1) * (ty - 2)).sum())
         / (9.0 * n * (n - 1) * (n - 2))
@@ -196,8 +180,3 @@ def kendall_z(x: VectorLike, y: VectorLike, tie_corrected: bool = True) -> float
     if var <= 0.0:
         raise DegenerateInputError("tie structure leaves no rank variance")
     return s / math.sqrt(var)
-
-
-def _tie_sizes(v: np.ndarray) -> np.ndarray:
-    _, counts = np.unique(v, return_counts=True)
-    return counts.astype(float)

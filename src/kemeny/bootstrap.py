@@ -6,6 +6,11 @@ tables.  Replicate r draws its generator from SeedSequence(seed,
 spawn_key=(r,)), so a run is bit-identical no matter how replicates are
 scheduled or partitioned.  Degenerate replicates (a constant resampled
 column where the method needs spread) are skipped and counted, not fatal.
+
+The source rows are ranked once, into a PreparedPair; a replicate weights
+its cells by the drawn rows' multiplicities and sorts nothing.  The rank
+statistics are exact integer or half-integer sums, bit-identical to those
+of the expanded rows; Pearson reads the drawn rows in draw order.
 """
 
 from __future__ import annotations
@@ -16,25 +21,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines
-from .core import sin_transform, tau_kappa
+from .core import prepare_pair, sin_transform, tau_kappa
 from .errors import ConfigError, DegenerateInputError, ValidationError
 from .hypotests import kemeny_t_welch, kemeny_z_test
 from .moments import MomentsSummary, summarize
 
-#: statistic registry: tag -> callable(x_column, y_column) -> float
+#: statistic registry: tag -> callable(x_column, y_column) or callable(pair)
 METHODS = {
-    "kemeny_z": lambda x, y: kemeny_z_test(x, y).statistic,
-    "kemeny_t_welch": lambda x, y: kemeny_t_welch(x, y).statistic,
+    "kemeny_z": lambda x, y=None: kemeny_z_test(x, y).statistic,
+    "kemeny_t_welch": lambda x, y=None: kemeny_t_welch(x, y).statistic,
     "tau_kappa": tau_kappa,
-    "sin_tau_kappa": lambda x, y: sin_transform(tau_kappa(x, y)),
-    "wilcoxon_w": lambda x, y: baselines.wilcoxon_rank_sum(x, y).W,
+    "sin_tau_kappa": lambda x, y=None: sin_transform(tau_kappa(x, y)),
+    "wilcoxon_w": lambda x, y=None: baselines.wilcoxon_rank_sum(x, y).W,
     "kendall_z": baselines.kendall_z,
     "kendall_tau_b": baselines.kendall_tau_b,
     "spearman_rho": baselines.spearman_rho,
     "pearson_r": baselines.pearson_r,
     "pearson_t": baselines.pearson_t,
-    "wilcox_r": lambda x, y: baselines.effect_sizes(x, y)["wilcox_r"],
-    "glass_r": lambda x, y: baselines.effect_sizes(x, y)["glass_r"],
+    "wilcox_r": lambda x, y=None: baselines.effect_sizes(x, y)["wilcox_r"],
+    "glass_r": lambda x, y=None: baselines.effect_sizes(x, y)["glass_r"],
 }
 
 #: tags whose x column must be a binary group
@@ -119,11 +124,13 @@ def run_harness(config: HarnessConfig, x, y, raw_sink=None) -> HarnessReport:
     config regardless of how replicates would be partitioned.  When
     raw_sink (a writable text stream) is given, every replicate-level
     statistic is streamed to it as CSV rows `replicate,method,value` for
-    external plotting.
+    external plotting.  The source columns are validated up front: a NaN
+    anywhere, or fewer than 2 rows, raises ValidationError.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     _validate_columns(config, xa, ya)
+    source = prepare_pair(xa, ya)
     if raw_sink is not None:
         raw_sink.write("replicate,method,value\n")
     n_rows = xa.size
@@ -131,16 +138,15 @@ def run_harness(config: HarnessConfig, x, y, raw_sink=None) -> HarnessReport:
     skipped = {tag: 0 for tag in config.methods}
     for rep in range(config.replicates):
         if config.fixed_sample:
-            bx, by = xa, ya
+            sample = source
         else:
             rng = np.random.default_rng(
                 np.random.SeedSequence(config.seed, spawn_key=(rep,))
             )
-            idx = rng.integers(0, n_rows, size=config.resample_size)
-            bx, by = xa[idx], ya[idx]
+            sample = source.resample(rng.integers(0, n_rows, size=config.resample_size))
         for tag in config.methods:
             try:
-                value = float(METHODS[tag](bx, by))
+                value = float(METHODS[tag](sample))
             except (DegenerateInputError, ValidationError):
                 skipped[tag] += 1
                 continue

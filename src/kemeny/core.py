@@ -8,13 +8,14 @@ Spearman-analogue rho -- is an affine function of the concordant /
 discordant / tied pair counts, so all distances are computed in exact
 integer arithmetic and only scaled to floats at the boundary.
 
-Two pair-counting routines are provided: an O(n^2) sign-matrix reference
-(`method="quadratic"`), which is the oracle, and the default for large n
-(`method="merge"`): dense-rank both columns, collapse the rows into their m
-distinct (x, y) cells weighted by multiplicity, and count discordant pairs
-as weighted inversions of the cells' ranks, one stable-sort pass per bit
-(after Knight 1966, JASA 61:436).  It costs O(n log n) for the ranking plus
-O(m log k) for the count, k the smaller number of distinct values.
+Every pair estimator reads one `PreparedPair` (`prepare_pair`): both
+columns dense-ranked once, the rows collapsed into their m distinct
+(x, y) cells weighted by multiplicity.  Discordant pairs are weighted
+inversions of the cells' ranks, one stable-sort pass per bit (after Knight
+1966, JASA 61:436): O(n log n) ranking plus O(m log k), k the smaller
+number of distinct values.  A row resample keeps the cells and changes
+their weights, O(r + m log k) for r rows, sorting nothing.  The O(n^2)
+sign-matrix count (`method="quadratic"`) is the oracle in tests.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ HALF_SQRT = math.sqrt(0.5)
 _MERGE_CUTOFF = 100
 
 VectorLike = Union["DataVector", Sequence[float], np.ndarray]
+#: a column x, or a PreparedPair standing for both columns (y then left out)
+PairLike = Union[VectorLike, "PreparedPair"]
 
 
 class DataVector:
@@ -167,14 +170,6 @@ class PairCounts:
         return self.n * (self.n - 1) // 2
 
 
-def _check_pair(x: VectorLike, y: VectorLike) -> tuple[np.ndarray, np.ndarray]:
-    xv = as_data_vector(x).values
-    yv = as_data_vector(y).values
-    if xv.size != yv.size:
-        raise LengthMismatchError(f"length mismatch: {xv.size} vs {yv.size}")
-    return xv, yv
-
-
 def kappa_map(x: VectorLike) -> KappaMatrix:
     """Map a data vector onto its skew-symmetric pairwise sign matrix.
 
@@ -189,11 +184,13 @@ def kappa_map(x: VectorLike) -> KappaMatrix:
 
 def _tied_pairs(sizes: np.ndarray) -> int:
     """Pairs inside groups of the given sizes: the sum of C(s, 2)."""
-    return int((sizes * (sizes - 1) // 2).sum())
+    return int(sizes @ (sizes - 1)) // 2
 
 
-def _pair_tie_count(a: np.ndarray) -> int:
-    return _tied_pairs(np.unique(a, return_counts=True)[1])
+def _level_midranks(sizes: np.ndarray) -> np.ndarray:
+    """Mid-rank of each level, (2 cum - w + 1) / 2 for level weights w."""
+    upper = np.cumsum(sizes)
+    return (upper - sizes + 1 + upper) / 2.0
 
 
 def _count_inversions(r: np.ndarray, w: np.ndarray) -> int:
@@ -218,22 +215,107 @@ def _count_inversions(r: np.ndarray, w: np.ndarray) -> int:
     return twice // 2
 
 
-def _pair_counts_merge(xv: np.ndarray, yv: np.ndarray) -> PairCounts:
-    n = xv.size
-    n0 = n * (n - 1) // 2
-    _, rx, cx = np.unique(xv, return_inverse=True, return_counts=True)
-    _, ry, cy = np.unique(yv, return_inverse=True, return_counts=True)
-    ties_x, ties_y = _tied_pairs(cx), _tied_pairs(cy)
-    # discordance is symmetric in x and y: put the column with fewer levels
-    # in the low digit so the inversion count takes fewer bit passes
-    ra, rb, kb = (rx, ry, cy.size) if cy.size <= cx.size else (ry, rx, cx.size)
-    # the distinct (a, b) cells in (a, b) order, weighted by multiplicity;
-    # a discordant pair is a b-inversion between cells of different a
-    cells, w = np.unique(ra * kb + rb, return_counts=True)
-    discordant = _count_inversions(cells % kb, w)
-    ties_xy = _tied_pairs(w)
-    concordant = n0 - ties_x - ties_y + ties_xy - discordant
-    return PairCounts(n, concordant, discordant, ties_x, ties_y, ties_xy)
+class PreparedPair:
+    """A bivariate sample, validated once and ranked at most once.
+
+    Holds the columns `x`, `y` in row order.  On first use it derives, and
+    caches, each row's levels `row_x`, `row_y` (dense ranks of the values),
+    the level weights `x_weights`, `y_weights` (the tie-group sizes), the
+    distinct (x-level, y-level) cells `cell_x`, `cell_y` with their int64
+    row counts `weights`, the level mid-ranks `x_midranks`, `y_midranks`,
+    the pair `counts` and `degenerate` (x or y constant); it is never
+    modified otherwise.  `resample(rows)` gives the same cells new weights:
+    a level of weight 0 is absent from that sample.  Mid-rank sums over the
+    weighted cells add quarter-integers, exact in any order while n^3 < 2^53
+    (n up to about 2e5), so there they equal the row-by-row sums bit for bit.
+    """
+
+    def __init__(self, x: VectorLike, y: VectorLike):
+        xv = as_data_vector(x).values
+        yv = as_data_vector(y).values
+        if xv.size != yv.size:
+            raise LengthMismatchError(f"length mismatch: {xv.size} vs {yv.size}")
+        self.x, self.y, self.n = xv, yv, xv.size
+
+    def __getattr__(self, name: str):
+        # reached only while `name` is unset: derive it and cache it (a
+        # resample sets its rows' cells, the cells and the weights up front)
+        if name in ("row_x", "row_y") and "row_cells" in self.__dict__:
+            self.row_x, self.row_y = self.cell_x[self.row_cells], self.cell_y[self.row_cells]
+        elif name in ("row_x", "x_weights"):
+            _, self.row_x, self.x_weights = np.unique(self.x, return_inverse=True,
+                                                      return_counts=True)
+        elif name in ("row_y", "y_weights"):
+            _, self.row_y, self.y_weights = np.unique(self.y, return_inverse=True,
+                                                      return_counts=True)
+        elif name in ("cell_x", "cell_y", "weights", "_inversions"):
+            kx, ky = self.x_weights.size, self.y_weights.size
+            cells, self.weights = np.unique(self.row_x * ky + self.row_y, return_counts=True)
+            self.cell_x, self.cell_y = cells // ky, cells % ky
+            # discordance is symmetric in x and y: count the inversions of
+            # the column with fewer levels, over the cells in the other's order
+            swap = ky > kx
+            order = np.lexsort((self.cell_x, self.cell_y)) if swap else None
+            self._inversions = (self.cell_x[order], order) if swap else (self.cell_y, None)
+        elif name == "row_cells":
+            ky = self.y_weights.size
+            self.row_cells = np.searchsorted(self.cell_x * ky + self.cell_y,
+                                             self.row_x * ky + self.row_y)
+        elif name == "counts":
+            # up to 100 rows not yet collapsed to cells are cheaper to count
+            # by their sign matrices; both counts are exact
+            quadratic = self.n <= _MERGE_CUTOFF and "weights" not in self.__dict__
+            self.counts = _pair_counts_quadratic(self.x, self.y) if quadratic else self._count()
+        elif name in ("x_midranks", "y_midranks"):
+            self.x_midranks, self.y_midranks = map(_level_midranks, (self.x_weights,
+                                                                     self.y_weights))
+        elif name == "degenerate":
+            self.degenerate = bool(self.x.min() == self.x.max() or self.y.min() == self.y.max())
+        else:
+            raise AttributeError(f"'PreparedPair' object has no attribute {name!r}")
+        return self.__dict__[name]
+
+    def _count(self) -> PairCounts:
+        """Pair tallies counted over the cells."""
+        keys, order = self._inversions
+        w = self.weights if order is None else self.weights[order]
+        discordant = _count_inversions(keys, w)
+        ties_x, ties_y = _tied_pairs(self.x_weights), _tied_pairs(self.y_weights)
+        ties_xy = _tied_pairs(self.weights)
+        concordant = self.n * (self.n - 1) // 2 - ties_x - ties_y + ties_xy - discordant
+        return PairCounts(self.n, concordant, discordant, ties_x, ties_y, ties_xy)
+
+    def resample(self, rows) -> "PreparedPair":
+        """The pair of rows `rows` (indices, repeats allowed), in that order,
+        on the same cells: the weights are the bincount of the rows' cells."""
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or rows.size < 2:
+            raise ValidationError(f"a resample needs a 1-d array of >= 2 rows, got {rows.shape}")
+        sample = object.__new__(PreparedPair)
+        sample.x, sample.y, sample.n = self.x[rows], self.y[rows], rows.size
+        sample.row_cells = self.row_cells[rows]
+        w = sample.weights = np.bincount(sample.row_cells, minlength=self.weights.size)
+        sample.cell_x, sample.cell_y = self.cell_x, self.cell_y
+        sample._inversions = self._inversions
+        sample.x_weights = np.bincount(self.cell_x, w, self.x_weights.size).astype(np.int64)
+        sample.y_weights = np.bincount(self.cell_y, w, self.y_weights.size).astype(np.int64)
+        return sample
+
+    @property
+    def variances(self) -> tuple[float, float]:
+        """kemeny_variance of x and of y: their non-tied pair fractions."""
+        c = self.counts
+        return (c.total - c.ties_x) / c.total, (c.total - c.ties_y) / c.total
+
+
+def prepare_pair(x: PairLike, y: VectorLike | None = None) -> PreparedPair:
+    """The PreparedPair of columns (x, y); a PreparedPair x, y left out,
+    is returned as it is.  The one validation step of every pair estimator."""
+    if isinstance(x, PreparedPair) and y is None:
+        return x
+    if isinstance(x, PreparedPair) or y is None:
+        raise ValidationError("pass two columns x and y, or a PreparedPair alone")
+    return PreparedPair(x, y)
 
 
 def _pair_counts_quadratic(xv: np.ndarray, yv: np.ndarray) -> PairCounts:
@@ -249,25 +331,25 @@ def _pair_counts_quadratic(xv: np.ndarray, yv: np.ndarray) -> PairCounts:
     return PairCounts(n, concordant, discordant, ties_x, ties_y, ties_xy)
 
 
-def pair_counts(x: VectorLike, y: VectorLike, method: str = "auto") -> PairCounts:
+def pair_counts(x: PairLike, y: VectorLike | None = None, method: str = "auto") -> PairCounts:
     """Exact concordant/discordant/tie tallies for the pair (x, y).
 
-    method: "auto" picks quadratic up to n=100, merge above; "quadratic" is
-    the O(n^2) reference used as the oracle in tests; "merge" is the
-    O(n log n) production path, counting over the distinct (x, y) cells,
-    so tied data costs O(m log k) after ranking (see the module docstring).
+    x may be a PreparedPair, y then left out.  method: "auto" gives the
+    pair's cached `counts` (by sign matrices up to n=100 if the pair is not
+    yet collapsed to cells); "merge" counts over the cells (see the module
+    docstring); "quadratic" is the O(n^2) sign-matrix oracle used in tests.
     """
-    xv, yv = _check_pair(x, y)
+    pair = prepare_pair(x, y)
     if method == "auto":
-        method = "quadratic" if xv.size <= _MERGE_CUTOFF else "merge"
+        return pair.counts
     if method == "merge":
-        return _pair_counts_merge(xv, yv)
+        return pair._count()
     if method == "quadratic":
-        return _pair_counts_quadratic(xv, yv)
+        return _pair_counts_quadratic(pair.x, pair.y)
     raise ValidationError(f"unknown pair-count method {method!r}")
 
 
-def kemeny_distance(x: VectorLike, y: VectorLike, method: str = "auto") -> int:
+def kemeny_distance(x: PairLike, y: VectorLike | None = None, method: str = "auto") -> int:
     """Kemeny distance between two equal-length vectors.
 
     Exact integer in [0, n^2-n]; 0 iff the two orderings (with ties) agree,
@@ -278,13 +360,14 @@ def kemeny_distance(x: VectorLike, y: VectorLike, method: str = "auto") -> int:
     return c.total + c.discordant - c.concordant
 
 
-def centered_distance(x: VectorLike, y: VectorLike, method: str = "auto") -> CenteredDistance:
+def centered_distance(x: PairLike, y: VectorLike | None = None,
+                      method: str = "auto") -> CenteredDistance:
     """Kemeny distance minus its expectation (n^2-n)/2, as an exact integer."""
     c = pair_counts(x, y, method=method)
     return CenteredDistance(value=c.discordant - c.concordant, n=c.n)
 
 
-def tau_kappa(x: VectorLike, y: VectorLike, method: str = "auto") -> float:
+def tau_kappa(x: PairLike, y: VectorLike | None = None, method: str = "auto") -> float:
     """Kemeny tau correlation in [-1, 1].
 
     Affine rescaling of the centered distance; equals Kendall's tau on
@@ -302,16 +385,8 @@ def kemeny_variance(x: VectorLike) -> float:
     kappa entries.
     """
     v = as_data_vector(x).values
-    n = v.size
-    n0 = n * (n - 1) // 2
-    return (n0 - _pair_tie_count(v)) / n0
-
-
-def _midranks(v: np.ndarray) -> np.ndarray:
-    uniq, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
-    upper = np.cumsum(counts)
-    mid = (upper - counts + 1 + upper) / 2.0
-    return mid[inverse]
+    n0 = v.size * (v.size - 1) // 2
+    return (n0 - _tied_pairs(np.unique(v, return_counts=True)[1])) / n0
 
 
 def row_sum_vector(x: VectorLike, centered: bool = True) -> RankRowVector:
@@ -322,48 +397,29 @@ def row_sum_vector(x: VectorLike, centered: bool = True) -> RankRowVector:
     for Beta fitting).
     """
     v = as_data_vector(x).values
-    n = v.size
-    entries = HALF_SQRT * (2.0 * _midranks(v) - n - 1)
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    entries = HALF_SQRT * (2.0 * _level_midranks(counts)[inverse] - v.size - 1)
     if not centered:
         entries = entries - entries.min()
     return RankRowVector(entries=entries, centered=centered)
 
 
-def kemeny_rho(x: VectorLike, y: VectorLike) -> float:
+def kemeny_rho(x: PairLike, y: VectorLike | None = None) -> float:
     """Product-moment correlation of the centered kappa row-sum vectors.
 
     The Spearman analogue on the Kemeny space: identical to mid-rank
     Spearman on any input and exactly classical Spearman when tie-free.
     Raises DegenerateInputError when either vector is constant (zero norm).
     """
-    xv, yv = _check_pair(x, y)
-    a = row_sum_vector(xv).entries
-    b = row_sum_vector(yv).entries
+    pair = prepare_pair(x, y)
+    # the centered row sums, as row_sum_vector forms them
+    a = HALF_SQRT * (2.0 * pair.x_midranks[pair.row_x] - pair.n - 1)
+    b = HALF_SQRT * (2.0 * pair.y_midranks[pair.row_y] - pair.n - 1)
     na = float(np.dot(a, a))
     nb = float(np.dot(b, b))
     if na == 0.0 or nb == 0.0:
         raise DegenerateInputError("kemeny_rho is undefined for a constant vector")
     return float(np.dot(a, b) / math.sqrt(na * nb))
-
-
-def rho_rowsum_diagnostic(x: VectorLike, y: VectorLike) -> float:
-    """Diagnostic variant of kemeny_rho with raw non-negative row sums.
-
-    Uses the min-subtracted (uncentered) row sums and a 1/(2(n-1))-scaled
-    norm instead of centering; NOT a bounded correlation and can leave
-    [-1, 1].  Exposed for comparison only; use kemeny_rho for inference.
-    """
-    xv, yv = _check_pair(x, y)
-    n = xv.size
-    a = row_sum_vector(xv, centered=False).entries
-    b = row_sum_vector(yv, centered=False).entries
-    # sum of squared kappa entries is 0.5 per non-tied ordered pair
-    n0 = n * (n - 1) // 2
-    sig_x = (n0 - _pair_tie_count(xv)) / (2 * (n - 1))
-    sig_y = (n0 - _pair_tie_count(yv)) / (2 * (n - 1))
-    if sig_x == 0.0 or sig_y == 0.0:
-        raise DegenerateInputError("diagnostic undefined for a constant vector")
-    return float((a * b).sum() / ((n - 1) * math.sqrt(sig_x * sig_y)))
 
 
 def sin_transform(tau: float) -> float:

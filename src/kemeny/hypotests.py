@@ -14,13 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    PairLike,
+    PreparedPair,
     VectorLike,
-    as_data_vector,
     centered_distance,
     kemeny_variance,
+    prepare_pair,
     tau_kappa,
 )
-from .errors import DegenerateInputError, LengthMismatchError, ValidationError
+from .errors import DegenerateInputError, ValidationError
 from .population import population_variance_formula
 from .special import std_normal_sf, student_t_sf
 
@@ -55,40 +57,34 @@ def _two_sided(p_upper: float) -> float:
     return 2.0 * min(p_upper, 1.0 - p_upper)
 
 
-def _prepare_pair(x: VectorLike, y: VectorLike, require_nondegenerate=True):
-    xv = as_data_vector(x)
-    yv = as_data_vector(y)
-    if xv.n != yv.n:
-        raise LengthMismatchError(f"length mismatch: {xv.n} vs {yv.n}")
-    if require_nondegenerate and (xv.is_degenerate or yv.is_degenerate):
+def _spread_pair(x: PairLike, y: VectorLike | None) -> PreparedPair:
+    pair = prepare_pair(x, y)
+    if pair.degenerate:
         raise DegenerateInputError("test requires non-degenerate inputs")
-    return xv, yv
+    return pair
 
 
-def kemeny_z_test(x: VectorLike, y: VectorLike) -> TestResult:
+def _result(method: str, pair: PreparedPair, statistic: float, df: int | None,
+            p_upper: float, details: dict) -> TestResult:
+    """A test's outcome, with tau as its effect size."""
+    return TestResult(statistic, None if df is None else float(df), _two_sided(p_upper),
+                      p_upper, method, pair.n, effect=tau_kappa(pair), details=details)
+
+
+def kemeny_z_test(x: PairLike, y: VectorLike | None = None) -> TestResult:
     """Wald z: minus the centered distance over the closed-form population sd.
 
     Asymptotically standard normal; z^2 is a 1-df chi-square.
     """
-    xv, yv = _prepare_pair(x, y)
-    n = xv.n
-    cen = centered_distance(xv, yv).value
-    pop_sd = math.sqrt(population_variance_formula(n))
+    pair = _spread_pair(x, y)
+    cen = centered_distance(pair).value
+    pop_sd = math.sqrt(population_variance_formula(pair.n))
     z = -cen / pop_sd
-    p_upper = std_normal_sf(z)
-    return TestResult(
-        statistic=z,
-        df=None,
-        p_two_sided=_two_sided(p_upper),
-        p_one_sided=p_upper,
-        method="kemeny_z",
-        n=n,
-        effect=tau_kappa(xv, yv),
-        details={"centered_distance": float(cen), "population_sd": pop_sd},
-    )
+    return _result("kemeny_z", pair, z, None, std_normal_sf(z),
+                   {"centered_distance": float(cen), "population_sd": pop_sd})
 
 
-def kemeny_t_one_sample(x: VectorLike, y: VectorLike) -> TestResult:
+def kemeny_t_one_sample(x: PairLike, y: VectorLike | None = None) -> TestResult:
     """One-sample Studentised t with n-1 df.
 
     The pooled scale divides the population variance by twice the per-pair
@@ -96,30 +92,16 @@ def kemeny_t_one_sample(x: VectorLike, y: VectorLike) -> TestResult:
     (0, 0.5] -- so a tie-free x reduces the statistic to the z exactly and
     ties shrink it below the z.
     """
-    xv, yv = _prepare_pair(x, y)
-    n = xv.n
-    var_x = kemeny_variance(xv)
-    if var_x == 0.0:
-        raise DegenerateInputError("x has zero concentration")
-    cen = centered_distance(xv, yv).value
-    pop_var = population_variance_formula(n)
-    s_p = math.sqrt(pop_var / (2.0 * (var_x / 2.0)))
+    pair = _spread_pair(x, y)
+    var_x = pair.variances[0]
+    cen = centered_distance(pair).value
+    s_p = math.sqrt(population_variance_formula(pair.n) / (2.0 * (var_x / 2.0)))
     t = -cen / s_p
-    df = n - 1
-    p_upper = student_t_sf(t, df)
-    return TestResult(
-        statistic=t,
-        df=float(df),
-        p_two_sided=_two_sided(p_upper),
-        p_one_sided=p_upper,
-        method="kemeny_t_one",
-        n=n,
-        effect=tau_kappa(xv, yv),
-        details={"centered_distance": float(cen), "s_p": s_p, "variance_x": var_x},
-    )
+    return _result("kemeny_t_one", pair, t, pair.n - 1, student_t_sf(t, pair.n - 1),
+                   {"centered_distance": float(cen), "s_p": s_p, "variance_x": var_x})
 
 
-def kemeny_t_welch(x: VectorLike, y: VectorLike) -> TestResult:
+def kemeny_t_welch(x: PairLike, y: VectorLike | None = None) -> TestResult:
     """Two-variable Studentised t with n-2 df.
 
     The pooled scale divides the population variance by the sum of the two
@@ -127,40 +109,22 @@ def kemeny_t_welch(x: VectorLike, y: VectorLike) -> TestResult:
     companion scale s_kappa = sqrt(pop_var / s_p^2) is reported in details
     as the dispersion-adjusted population scale.
     """
-    xv, yv = _prepare_pair(x, y)
-    n = xv.n
+    pair = _spread_pair(x, y)
+    n = pair.n
     if n < 3:
         raise DegenerateInputError(f"kemeny_t_welch needs n >= 3 for n - 2 df, got n={n}")
-    var_x = kemeny_variance(xv)
-    var_y = kemeny_variance(yv)
-    if var_x == 0.0 or var_y == 0.0:
-        raise DegenerateInputError("zero concentration input")
-    cen = centered_distance(xv, yv).value
+    var_x, var_y = pair.variances
+    cen = centered_distance(pair).value
     pop_var = population_variance_formula(n)
     s_p = math.sqrt(pop_var / (var_x + var_y))
     s_kappa = math.sqrt(pop_var / (s_p * s_p))
     t = -cen / s_p
-    df = n - 2
-    p_upper = student_t_sf(t, df)
-    return TestResult(
-        statistic=t,
-        df=float(df),
-        p_two_sided=_two_sided(p_upper),
-        p_one_sided=p_upper,
-        method="kemeny_t_welch",
-        n=n,
-        effect=tau_kappa(xv, yv),
-        details={
-            "centered_distance": float(cen),
-            "s_p": s_p,
-            "s_kappa": s_kappa,
-            "variance_x": var_x,
-            "variance_y": var_y,
-        },
-    )
+    return _result("kemeny_t_welch", pair, t, n - 2, student_t_sf(t, n - 2),
+                   {"centered_distance": float(cen), "s_p": s_p, "s_kappa": s_kappa,
+                    "variance_x": var_x, "variance_y": var_y})
 
 
-def kemeny_t_paired(x: VectorLike, y: VectorLike) -> TestResult:
+def kemeny_t_paired(x: PairLike, y: VectorLike | None = None) -> TestResult:
     """Paired t with n-1 df from the elementwise difference vector.
 
     t = -centered(x, y) * sd_kappa(x - y) / pop_var(n).  The denominator is
@@ -168,38 +132,24 @@ def kemeny_t_paired(x: VectorLike, y: VectorLike) -> TestResult:
     that is the published construction and it is kept literally.  Requires
     finite entries (the difference must exist) and a non-constant difference.
     """
-    xv, yv = _prepare_pair(x, y)
-    n = xv.n
-    if not (np.isfinite(xv.values).all() and np.isfinite(yv.values).all()):
+    pair = _spread_pair(x, y)
+    if not (np.isfinite(pair.x).all() and np.isfinite(pair.y).all()):
         raise ValidationError("paired test requires finite entries")
-    diff = xv.values - yv.values
+    diff = pair.x - pair.y
     if diff.min() == diff.max():
         raise DegenerateInputError("difference vector is constant")
     sd_diff = math.sqrt(kemeny_variance(diff))
-    cen = centered_distance(xv, yv).value
-    pop_var = population_variance_formula(n)
-    t = -cen * sd_diff / pop_var
-    df = n - 1
-    p_upper = student_t_sf(t, df)
-    return TestResult(
-        statistic=t,
-        df=float(df),
-        p_two_sided=_two_sided(p_upper),
-        p_one_sided=p_upper,
-        method="kemeny_t_paired",
-        n=n,
-        effect=tau_kappa(xv, yv),
-        details={"centered_distance": float(cen), "sd_diff": sd_diff},
-    )
+    cen = centered_distance(pair).value
+    t = -cen * sd_diff / population_variance_formula(pair.n)
+    return _result("kemeny_t_paired", pair, t, pair.n - 1, student_t_sf(t, pair.n - 1),
+                   {"centered_distance": float(cen), "sd_diff": sd_diff})
 
 
-def point_biserial(group: VectorLike, outcome: VectorLike) -> TestResult:
+def point_biserial(group: PairLike, outcome: VectorLike | None = None) -> TestResult:
     """Two-group location test: the Wald z of a binary group against an
     outcome, with tau as the effect size."""
-    gv = as_data_vector(group)
-    distinct = np.unique(gv.values)
-    if distinct.size != 2:
-        raise ValidationError(
-            f"group must take exactly 2 distinct values, got {distinct.size}"
-        )
-    return kemeny_z_test(gv, outcome)
+    pair = prepare_pair(group, outcome)
+    distinct = np.count_nonzero(pair.x_weights)
+    if distinct != 2:
+        raise ValidationError(f"group must take exactly 2 distinct values, got {distinct}")
+    return kemeny_z_test(pair)

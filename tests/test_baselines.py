@@ -85,6 +85,11 @@ class TestKendallZ:
             kendall_z(x, y, tie_corrected=False), rel=1e-12
         )
 
+    def test_two_rows(self):
+        # S = +-1 over a null variance of 1; the three-member tie term is 0
+        assert kendall_z([0.0, 1.0], [0.0, 1.0]) == 1.0
+        assert kendall_z([0.0, 1.0], [1.0, 0.0]) == -1.0
+
 
 class TestSpearman:
     def test_matches_scipy_with_ties(self, rng):
@@ -123,6 +128,10 @@ class TestPearson:
         r = pearson_r(x, y)
         want = r * math.sqrt(48 / (1 - r * r))
         assert pearson_t(x, y) == pytest.approx(want, rel=1e-12)
+
+    def test_t_needs_three_rows(self):
+        with pytest.raises(DegenerateInputError, match="pearson_t needs n >= 3"):
+            pearson_t([0.0, 1.0], [0.0, 1.0])
 
 
 class TestWilcoxon:

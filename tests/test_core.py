@@ -20,12 +20,13 @@ from kemeny import (
     kemeny_variance,
     pair_counts,
     population_cardinality,
-    rho_rowsum_diagnostic,
+    prepare_pair,
     row_sum_vector,
     sin_transform,
     tau_kappa,
 )
 from kemeny.baselines import kendall_tau_b, spearman_rho
+from kemeny.bootstrap import METHODS
 
 from conftest import random_tied_vector, random_tiefree_vector
 
@@ -333,6 +334,88 @@ class TestMergeProperties:
         )
 
 
+def _outcome(fn, *args):
+    try:
+        return repr(float(fn(*args)))
+    except ValidationError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def _weighted_pairs(draw):
+    """A pair and a row-weight vector with zeros (rows, and often whole
+    levels, left out) summing to at least 2."""
+    x, y = draw(_pairs())
+    w = np.array(draw(st.lists(st.integers(0, 4), min_size=len(x), max_size=len(x))))
+    if w.sum() < 2:
+        w[:2] += 1
+    return x, y, w
+
+
+class TestPreparedPair:
+    @given(_weighted_pairs())
+    @example((np.array([0.0, 1.0, 2.0]), np.array([2.0, 1.0, 0.0]), np.array([0, 1, 1])))
+    @example((np.array([5.0, 5.0, 7.0, 7.0]), np.array([1.0, 2.0, 2.0, 3.0]),
+              np.array([2, 0, 0, 3])))
+    def test_resample_counts_equal_expanded_rows(self, xyw):
+        x, y, w = xyw
+        rows = np.repeat(np.arange(x.size), w)
+        resampled = prepare_pair(x, y).resample(rows)
+        ex, ey = np.repeat(x, w), np.repeat(y, w)
+        assert resampled.counts == pair_counts(ex, ey, method="quadratic")
+        assert pair_counts(resampled, method="quadratic") == resampled.counts
+        expanded = prepare_pair(ex, ey)
+        for attr in ("x_weights", "y_weights"):
+            got = getattr(resampled, attr)
+            assert (got[got > 0] == getattr(expanded, attr)).all()
+        assert resampled.degenerate == expanded.degenerate
+        assert resampled.variances == (kemeny_variance(ex), kemeny_variance(ey))
+
+    @given(_weighted_pairs())
+    @example((np.array([0.0, 1.0, 2.0, 1.0]), np.array([3.0, 1.0, 2.0, 0.0]),
+              np.array([0, 2, 1, 1])))
+    def test_resample_statistics_equal_expanded_rows(self, xyw):
+        # every registered statistic, or its error, bit for bit; a group
+        # level of weight 0 (here x = 0.0) is absent, not the first label
+        x, y, w = xyw
+        resampled = prepare_pair(x, y).resample(np.repeat(np.arange(x.size), w))
+        ex, ey = np.repeat(x, w), np.repeat(y, w)
+        for tag, fn in METHODS.items():
+            with np.errstate(all="ignore"):
+                assert _outcome(fn, resampled) == _outcome(fn, ex, ey), tag
+
+    def test_resample_keeps_cells_and_draw_order(self):
+        pair = prepare_pair([3.0, 1.0, 3.0, 2.0], [0.0, 0.0, 1.0, 1.0])
+        sample = pair.resample([3, 0, 0, 1])
+        assert sample.cell_x is pair.cell_x and sample.cell_y is pair.cell_y
+        assert list(sample.x) == [2.0, 3.0, 3.0, 1.0]
+        assert list(sample.weights) == [1, 1, 2, 0]
+        assert list(sample.x_weights) == [1, 1, 2] and list(sample.x_midranks) == [1.0, 2.0, 3.5]
+        assert list(sample.row_x) == [1, 2, 2, 0]
+
+    def test_level_weights_and_midranks(self):
+        pair = prepare_pair([2.0, 1.0, 2.0, 2.0], [-0.0, 0.0, math.inf, 1.0])
+        assert list(pair.x_weights) == [1, 3] and list(pair.y_weights) == [2, 1, 1]
+        assert list(pair.x_midranks) == [1.0, 3.0]
+        assert list(pair.y_midranks) == [1.5, 3.0, 4.0]
+        assert not pair.degenerate and prepare_pair([1, 1], [1, 2]).degenerate
+
+    def test_prepare_pair_arguments(self):
+        pair = prepare_pair([1, 2, 3], [3, 1, 2])
+        assert prepare_pair(pair) is pair
+        assert tau_kappa(pair) == tau_kappa([1, 2, 3], [3, 1, 2])
+        with pytest.raises(ValidationError):
+            prepare_pair(pair, [1, 2, 3])
+        with pytest.raises(ValidationError):
+            prepare_pair([1, 2, 3])
+        with pytest.raises(LengthMismatchError):
+            prepare_pair([1, 2, 3], [1, 2])
+        with pytest.raises(ValidationError):
+            pair.resample([0])
+        with pytest.raises(ValidationError, match="NaN"):
+            prepare_pair([1.0, 2.0], [1.0, math.nan])
+
+
 class TestLargeN:
     """n = 70,000: past the quadratic oracle, and past 2**16 distinct ranks."""
 
@@ -360,17 +443,6 @@ class TestLargeN:
         assert (c.discordant, c.concordant) == (c.total - inside, inside)
         c = pair_counts(x, block[::-1].astype(float), method="merge")
         assert (c.discordant, c.concordant, c.ties_y) == (c.total - inside, 0, inside)
-
-
-class TestDiagnostics:
-    def test_rowsum_diagnostic_not_normalized(self):
-        # the literal form is exposed but is not a bounded correlation
-        val = rho_rowsum_diagnostic(np.arange(1.0, 11.0), np.arange(1.0, 11.0))
-        assert val > 1.0
-
-    def test_rowsum_diagnostic_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            rho_rowsum_diagnostic([1, 1, 1], [1, 2, 3])
 
 
 class TestSinTransform:

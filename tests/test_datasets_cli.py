@@ -413,6 +413,37 @@ class TestCliBootstrap:
         assert len(lines) == 1 + payload["methods"]["tau_kappa"]["evaluated"]
 
 
+class TestCliBootstrapTwoRows:
+    """Two-row resamples: kendall_z is finite, pearson_t has no degrees of
+    freedom and is skipped; no envelope holds NaN or Infinity."""
+
+    @staticmethod
+    def _strict(text):
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        return json.loads(text, parse_constant=reject)
+
+    def _run(self, capsys, tmp_path, methods):
+        config = {"replicates": 200, "resample_size": 2, "seed": 7, "methods": methods,
+                  "dataset": "sleep", "x": "group", "y": "extra"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        return run_cli(capsys, "bootstrap", "--config", str(path))
+
+    def test_kendall_z(self, capsys, tmp_path):
+        code, out, err = self._run(capsys, tmp_path, ["kendall_z", "tau_kappa"])
+        assert code == 0, err
+        summary = self._strict(out)["payload"]["methods"]["kendall_z"]
+        assert summary["evaluated"] > 0 and {summary["min"], summary["max"]} <= {-1.0, 1.0}
+
+    def test_pearson_t(self, capsys, tmp_path):
+        code, out, err = self._run(capsys, tmp_path, ["pearson_t"])
+        assert code == 4 and out == ""
+        error = self._strict(err)["error"]
+        assert error["code"] == "numeric" and "pearson_t" in error["message"]
+
+
 class TestCliOutputs:
     def test_csv_matrix(self, capsys):
         code, out, _ = run_cli(
